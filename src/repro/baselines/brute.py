@@ -14,7 +14,8 @@ import numpy as np
 import pandas as pd
 
 from ..core.packed import PackedSets
-from ..core.search import SearchStats, _jaccard_udf
+from ..core.search import SearchStats, query_tokens_df, sim_column
+from ..core.similarity import check_measure
 
 
 class LocalBrute:
@@ -22,7 +23,7 @@ class LocalBrute:
 
     def __init__(self, sets: Sequence[np.ndarray], measure: str = "jaccard"):
         self.sets = sets
-        self.measure = measure
+        self.measure = check_measure(measure)
         self.packed = PackedSets(sets)
 
     def _all_sims(self, q: np.ndarray) -> np.ndarray:
@@ -45,7 +46,6 @@ class LocalBrute:
 
 from pyspark.sql import DataFrame, SparkSession  # noqa: E402
 from pyspark.sql import functions as F  # noqa: E402
-from pyspark.sql import types as T  # noqa: E402
 
 
 class SparkBrute:
@@ -56,21 +56,9 @@ class SparkBrute:
         self.data = data  # (sid, tokens [, gid])
 
     def _scored(self, queries: Sequence[np.ndarray]) -> DataFrame:
-        pdf = pd.DataFrame(
-            {
-                "qid": np.arange(len(queries), dtype=np.int64),
-                "q_tokens": [[int(t) for t in np.unique(q)] for q in queries],
-            }
-        )
-        schema = T.StructType(
-            [
-                T.StructField("qid", T.LongType(), False),
-                T.StructField("q_tokens", T.ArrayType(T.LongType()), False),
-            ]
-        )
-        qdf = self.spark.createDataFrame(pdf, schema=schema)
+        qdf = query_tokens_df(self.spark, queries)
         return self.data.crossJoin(F.broadcast(qdf)).select(
-            "qid", "sid", _jaccard_udf("q_tokens", "tokens").alias("sim")
+            "qid", "sid", sim_column("jaccard")
         )
 
     def range_batch(self, queries: Sequence[np.ndarray], delta: float) -> pd.DataFrame:

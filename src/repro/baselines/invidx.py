@@ -12,6 +12,9 @@ Standard prefix-filter search over a full token inverted index:
   verify candidates, and lower δ by ``z`` until the running k-th
   similarity reaches δ, which certifies exactness.
 
+Both variants order a query's tokens rarest first; tokens outside the
+universe count toward ``|Q|`` but match nothing, so they lead the order.
+
 The Spark variant generates candidates with a distributed token join
 (exploded query prefixes against the postings DataFrame) and verifies
 with the shared pandas UDF.
@@ -24,7 +27,17 @@ import numpy as np
 import pandas as pd
 
 from ..core.packed import PackedSets
-from ..core.search import SearchStats, _jaccard_udf
+from ..core.search import SearchStats, query_tokens_df, sim_column
+from .brute import SparkBrute
+
+
+def _rarest_first(rank: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``q``'s distinct tokens in the global rarest-first order."""
+    qs = np.unique(q)
+    r = np.full(len(qs), -1, dtype=np.int64)  # unseen tokens: frequency 0
+    known = qs < len(rank)
+    r[known] = rank[qs[known]]
+    return qs[np.argsort(r, kind="stable")]
 
 
 class LocalInvIdx:
@@ -47,8 +60,7 @@ class LocalInvIdx:
         self.sizes = np.array([len(s) for s in sets], dtype=np.int64)
 
     def _prefix(self, q: np.ndarray, delta: float) -> np.ndarray:
-        qs = np.unique(q)
-        qs = qs[np.argsort(self.rank[qs], kind="stable")]
+        qs = _rarest_first(self.rank, q)
         plen = len(qs) - int(np.ceil(delta * len(qs))) + 1
         return qs[: max(1, plen)]
 
@@ -115,7 +127,6 @@ class LocalInvIdx:
 
 from pyspark.sql import DataFrame, SparkSession  # noqa: E402
 from pyspark.sql import functions as F  # noqa: E402
-from pyspark.sql import types as T  # noqa: E402
 
 
 class SparkInvIdx:
@@ -145,8 +156,7 @@ class SparkInvIdx:
     def _prefix_df(self, queries: Sequence[np.ndarray], delta: float) -> DataFrame:
         rows = []
         for qid, q in enumerate(queries):
-            qs = np.unique(q)
-            qs = qs[np.argsort(self.rank[qs], kind="stable")]
+            qs = _rarest_first(self.rank, q)
             plen = max(1, len(qs) - int(np.ceil(delta * len(qs))) + 1)
             for t in qs[:plen]:
                 rows.append((qid, int(t), len(qs)))
@@ -164,23 +174,11 @@ class SparkInvIdx:
             .select("qid", "sid")
             .distinct()
         )
-        qpdf = pd.DataFrame(
-            {
-                "qid": np.arange(len(queries), dtype=np.int64),
-                "q_tokens": [[int(t) for t in np.unique(q)] for q in queries],
-            }
-        )
-        schema = T.StructType(
-            [
-                T.StructField("qid", T.LongType(), False),
-                T.StructField("q_tokens", T.ArrayType(T.LongType()), False),
-            ]
-        )
-        qdf = self.spark.createDataFrame(qpdf, schema=schema)
+        qdf = query_tokens_df(self.spark, queries)
         return (
             cands.join(self.data, "sid")
             .join(F.broadcast(qdf), "qid")
-            .select("qid", "sid", _jaccard_udf("q_tokens", "tokens").alias("sim"))
+            .select("qid", "sid", sim_column("jaccard"))
             .where(F.col("sim") >= delta)
             .orderBy("qid", F.desc("sim"), "sid")
             .toPandas()
@@ -196,9 +194,10 @@ class SparkInvIdx:
         delta = 1.0
         while remaining:
             sub = [queries[i] for i in remaining]
-            out = self.range_batch(sub, max(delta, 1e-9)) if delta > 0 else None
-            if delta <= 0:
-                out = SparkBruteForVerify(self.spark, self.data).range_batch(sub, 0.0)
+            if delta > 0:
+                out = self.range_batch(sub, max(delta, 1e-9))
+            else:
+                out = SparkBrute(self.spark, self.data).range_batch(sub, 0.0)
             out["qid"] = out["qid"].map({i: q for i, q in enumerate(remaining)})
             for qid in list(remaining):
                 mine = out[out["qid"] == qid]
@@ -223,14 +222,3 @@ class SparkInvIdx:
             .reset_index(drop=True)
         )
 
-
-class SparkBruteForVerify:
-    """Fallback full verification used when δ-descent reaches 0."""
-
-    def __init__(self, spark: SparkSession, data: DataFrame):
-        from .brute import SparkBrute
-
-        self._b = SparkBrute(spark, data)
-
-    def range_batch(self, queries, delta):
-        return self._b.range_batch(queries, delta)

@@ -19,7 +19,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .similarity import group_upper_bounds, sim_fn, sim_many
+from .packed import PackedSets, pair_sims
+from .similarity import group_upper_bounds
 
 
 def group_token_union(sets: Sequence[np.ndarray], members: Sequence[int]) -> np.ndarray:
@@ -78,7 +79,7 @@ def gpo(
     ordered pairs scaled up — the same approximation the paper applies to
     ``φ(G)`` for large data (§4.3 footnote 2).
     """
-    f = sim_fn(measure)
+    packed = PackedSets(sets)
     rng = np.random.default_rng(seed)
     total = 0.0
     for g in np.unique(groups):
@@ -89,13 +90,11 @@ def gpo(
         if sample is not None and m * (m - 1) > sample:
             xs = rng.choice(members, size=sample)
             ys = rng.choice(members, size=sample)
-            est = np.mean(
-                [0.0 if x == y else 1.0 - f(sets[x], sets[y]) for x, y in zip(xs, ys)]
-            )
-            total += est * m * m
+            dist = 1.0 - pair_sims([sets[x] for x in xs], [sets[y] for y in ys], measure)
+            total += np.mean(np.where(xs == ys, 0.0, dist)) * m * m
         else:
             for i, x in enumerate(members):
-                sims = sim_many(sets[x], [sets[y] for y in members], measure)
+                sims = packed.sims_subset(sets[x], members, measure)
                 total += np.sum(1.0 - sims) - (1.0 - sims[i])
     return float(total)
 

@@ -1,17 +1,21 @@
-"""PackedSets — the shared vectorized verification kernel.
+"""The one verification kernel: intersection counts → similarities.
 
-All engines verify candidates through this structure so their constant
-factors are comparable (the paper's engines are all C++; a per-candidate
-Python loop would penalize whichever engine verifies at group
-granularity). Sets are stored as one concatenated token array plus
-offsets; intersection sizes against a query are computed with one
-``searchsorted`` over the concatenation and a segmented sum, from which
-Jaccard / Dice / Cosine all follow (they only need ``|A∩B|``, ``|A|``,
-``|B|``).
+Every engine, local and Spark, and every analysis that scores pairs (GPO,
+PAR-G's graphs, MDS) turns ``|A∩B|``, ``|A|`` and ``|B|`` into Jaccard /
+Dice / Cosine through :func:`_finish`, so their per-candidate costs are
+comparable (the paper's engines are all C++; a per-candidate Python loop
+would penalize whichever engine verifies at group granularity).
+
+- :class:`PackedSets` scores one query against many stored sets: the sets
+  are one concatenated token array plus offsets, and intersection sizes
+  come from one ``searchsorted`` over the concatenation and a segmented
+  sum.
+- :func:`pair_sims` scores many independent pairs ``(a_i, b_i)`` at once
+  (the Spark verify UDF's rows, GPO's sampled pairs).
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +73,35 @@ class PackedSets:
         return _finish(c, len(q), l, measure)
 
 
-def _finish(c: np.ndarray, q_len: int, lens: np.ndarray, measure: str) -> np.ndarray:
+def _flat(sets: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """(pair id of every token, every token) over ``sets`` in order."""
+    lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    toks = np.concatenate([np.empty(0, dtype=np.int64), *sets]).astype(np.int64)
+    return np.repeat(np.arange(len(sets), dtype=np.int64), lens), toks
+
+
+def pair_sims(
+    a_sets: Sequence[np.ndarray], b_sets: Sequence[np.ndarray], measure: str = "jaccard"
+) -> np.ndarray:
+    """``Sim(a_sets[i], b_sets[i])`` for every ``i``, without a per-pair loop.
+
+    Tagging each token with its pair id (``pair * span + token``) lets one
+    ``np.unique`` per side dedup all its sets and one ``searchsorted`` find
+    every intersection; ``bincount`` over the pair ids gives the counts.
+    """
+    n = len(a_sets)
+    (pa, ta), (pb, tb) = _flat(a_sets), _flat(b_sets)
+    span = 1 + int(max(ta.max(initial=0), tb.max(initial=0)))
+    a, b = np.unique(pa * span + ta), np.unique(pb * span + tb)
+    hit = a[b[np.minimum(np.searchsorted(b, a), len(b) - 1)] == a] if len(b) else b
+    la, lb = np.bincount(a // span, minlength=n), np.bincount(b // span, minlength=n)
+    return _finish(np.bincount(hit // span, minlength=n), la, lb, measure)
+
+
+def _finish(
+    c: np.ndarray, q_len: int | np.ndarray, lens: np.ndarray, measure: str
+) -> np.ndarray:
+    """Similarities from ``|Q∩S|``, ``|Q|`` (scalar or per pair) and ``|S|``."""
     c = c.astype(np.float64)
     if measure == "jaccard":
         denom = q_len + lens - c

@@ -10,8 +10,9 @@ Two engines:
 - :class:`SparkLES3` — the distributed dataflow: the database lives in a
   DataFrame ``(sid, tokens, gid)`` partitioned by group; per-query
   candidate group lists (computed from the broadcastable TGM) are
-  broadcast-joined against the data and verified by a vectorized
-  pandas UDF. kNN is answered exactly in two passes: pass 1 verifies
+  broadcast-joined against the data and verified by a pandas UDF over
+  the shared kernel (:func:`~repro.core.packed.pair_sims`) under the
+  engine's measure. kNN is answered exactly in two passes: pass 1 verifies
   each query's best groups to get a k-th-similarity lower bound, pass 2
   verifies every group whose UB clears that bound.
 """
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
 
-from .packed import PackedSets
-from .similarity import group_upper_bounds
+from .packed import PackedSets, pair_sims
+from .similarity import check_measure, group_upper_bounds
 from .tgm import HTGM, TGM
 
 
@@ -48,12 +49,10 @@ class SearchStats:
 class BatchStats:
     per_query: List[SearchStats] = field(default_factory=list)
 
-    def mean_pe(self, n_db: int, k_or_res: List[int]) -> float:
-        return float(
-            np.mean(
-                [s.pruning_efficiency(n_db, r) for s, r in zip(self.per_query, k_or_res)]
-            )
-        )
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 class LocalLES3:
@@ -69,7 +68,7 @@ class LocalLES3:
         self.sets = sets
         self.tgm = tgm
         self.htgm = htgm
-        self.measure = measure
+        self.measure = check_measure(measure)
         # shared vectorized verification kernel (see core/packed.py): all
         # engines verify through it so constant factors are comparable
         self.packed = PackedSets(sets)
@@ -106,6 +105,7 @@ class LocalLES3:
         """Exact k nearest sets (Definition 2.1), visiting groups in
         UB-descending order and stopping once the running k-th similarity
         dominates the next group's bound."""
+        _check_k(k)
         st = SearchStats()
         q = np.unique(query)
         if self.htgm is not None:
@@ -185,21 +185,36 @@ class LocalLES3:
 from pyspark.sql import DataFrame, SparkSession  # noqa: E402
 from pyspark.sql import functions as F  # noqa: E402
 from pyspark.sql import types as T  # noqa: E402
+from pyspark import cloudpickle  # noqa: E402
 from pyspark.sql.functions import pandas_udf  # noqa: E402
 
+from . import packed  # noqa: E402
 
-@pandas_udf(T.DoubleType())
-def _jaccard_udf(a: pd.Series, b: pd.Series) -> pd.Series:
-    """Vectorized Jaccard between two array<long> columns (verify step)."""
-    out = np.empty(len(a), dtype=np.float64)
-    for i, (x, y) in enumerate(zip(a, b)):
-        sx, sy = set(x), set(y)
-        u = len(sx | sy)
-        out[i] = len(sx & sy) / u if u else 0.0
-    return pd.Series(out)
+# Python workers need not have this package on their path (the jobs/ entry
+# points only put it on the driver's): the verify UDF carries the kernel.
+cloudpickle.register_pickle_by_value(packed)
 
 
-RESULT_SCHEMA = "qid bigint, sid bigint, sim double"
+def sim_column(measure: str):
+    """``Sim(q_tokens, tokens)`` per row under ``measure`` — the verify step,
+    a pandas UDF over the shared kernel :func:`pair_sims`."""
+
+    @pandas_udf(T.DoubleType())
+    def sim(a: pd.Series, b: pd.Series) -> pd.Series:
+        return pd.Series(pair_sims(a, b, measure))
+
+    return sim("q_tokens", "tokens").alias("sim")
+
+
+def query_tokens_df(spark: SparkSession, queries: Sequence[np.ndarray]) -> DataFrame:
+    """``(qid, q_tokens)``: each query's deduplicated tokens."""
+    pdf = pd.DataFrame(
+        {
+            "qid": np.arange(len(queries), dtype=np.int64),
+            "q_tokens": [[int(t) for t in np.unique(q)] for q in queries],
+        }
+    )
+    return spark.createDataFrame(pdf, schema="qid bigint, q_tokens array<bigint>")
 
 
 def attach_groups(
@@ -229,7 +244,7 @@ class SparkLES3:
         self.spark = spark
         self.data = data
         self.tgm = tgm
-        self.measure = measure
+        self.measure = check_measure(measure)
 
     def _query_df(self, queries: Sequence[np.ndarray], cand: List[np.ndarray]) -> DataFrame:
         rows = []
@@ -237,29 +252,15 @@ class SparkLES3:
             for g in gs:
                 rows.append((qid, int(g), [int(t) for t in np.unique(q)]))
         pdf = pd.DataFrame(rows, columns=["qid", "gid", "q_tokens"])
-        schema = T.StructType(
-            [
-                T.StructField("qid", T.LongType(), False),
-                T.StructField("gid", T.LongType(), False),
-                T.StructField("q_tokens", T.ArrayType(T.LongType()), False),
-            ]
+        return self.spark.createDataFrame(
+            pdf, schema="qid bigint, gid bigint, q_tokens array<bigint>"
         )
-        return self.spark.createDataFrame(pdf, schema=schema)
 
-    def _verify(self, qdf: DataFrame, delta_per_q: Dict[int, float] | float) -> DataFrame:
-        joined = self.data.join(F.broadcast(qdf), "gid")
-        scored = joined.select(
-            "qid", "sid", _jaccard_udf("q_tokens", "tokens").alias("sim")
+    def _verify(self, qdf: DataFrame, delta: float) -> DataFrame:
+        scored = self.data.join(F.broadcast(qdf), "gid").select(
+            "qid", "sid", sim_column(self.measure)
         )
-        if isinstance(delta_per_q, float):
-            return scored.where(F.col("sim") >= delta_per_q)
-        tpdf = pd.DataFrame(
-            {"qid": list(delta_per_q), "thr": [delta_per_q[q] for q in delta_per_q]}
-        )
-        tdf = self.spark.createDataFrame(tpdf)
-        return scored.join(F.broadcast(tdf), "qid").where(
-            F.col("sim") >= F.col("thr")
-        ).drop("thr")
+        return scored.where(F.col("sim") >= delta)
 
     # -- range -------------------------------------------------------------
     def range_batch(
@@ -303,6 +304,7 @@ class SparkLES3:
         ``UB >= t_q``; anything outside has ``Sim <= UB < t_q`` and
         cannot enter the answer, so the union of both passes is exact.
         """
+        _check_k(k)
         stats = BatchStats()
         ubs_all: List[np.ndarray] = []
         seed_groups: List[np.ndarray] = []
@@ -321,25 +323,16 @@ class SparkLES3:
             self._verify(self._query_df(queries, seed_groups), 0.0)
             .toPandas()
         )
-        thresholds: Dict[int, float] = {}
-        for qid in range(len(queries)):
-            sims = pass1.loc[pass1["qid"] == qid, "sim"].to_numpy()
+        thresholds = np.zeros(len(queries))
+        for qid, sims in pass1.groupby("qid")["sim"]:
             if len(sims) >= k:
-                thresholds[qid] = float(np.partition(sims, -k)[-k])
-            else:
-                thresholds[qid] = 0.0
+                thresholds[qid] = np.partition(sims.to_numpy(), -k)[-k]
         rest: List[np.ndarray] = []
         for qid, (ubs, seeds) in enumerate(zip(ubs_all, seed_groups)):
             mask = ubs >= thresholds[qid]
             mask[seeds] = False
             rest.append(np.flatnonzero(mask))
-            st = stats.per_query[qid]
-            st.n_groups_verified = len(seeds) + int(mask.sum())
-            st.n_candidates = int(
-                self.tgm.group_sizes[seeds].sum()
-                + self.tgm.group_sizes[np.flatnonzero(mask)].sum()
-            )
-            st.n_results = k
+            stats.per_query[qid].n_groups_verified = len(seeds) + len(rest[-1])
         frames = [pass1]
         if any(len(g) for g in rest):
             frames.append(self._verify(self._query_df(queries, rest), 0.0).toPandas())
@@ -350,4 +343,9 @@ class SparkLES3:
             .head(k)
             .reset_index(drop=True)
         )
+        # both passes keep every scored row (threshold 0), so these are counts
+        scored, kept = allres.groupby("qid").size(), top.groupby("qid").size()
+        for qid, st in enumerate(stats.per_query):
+            st.n_candidates = int(scored.get(qid, 0))
+            st.n_results = int(kept.get(qid, 0))
         return top, stats

@@ -12,7 +12,7 @@ every member of group ``g`` (Equation 2 generalized beyond Jaccard).
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -57,12 +57,16 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return intersection_size(a, b) / np.sqrt(na * nb)
 
 
+def check_measure(measure: str) -> str:
+    """``measure`` itself if it names one of :data:`MEASURES`; else ``ValueError``."""
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
+    return measure
+
+
 def sim_fn(measure: str) -> Callable[[np.ndarray, np.ndarray], float]:
     """Look up a pairwise similarity function by name."""
-    try:
-        return {"jaccard": jaccard, "dice": dice, "cosine": cosine}[measure]
-    except KeyError:  # pragma: no cover - guarded by MEASURES in callers
-        raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
+    return {"jaccard": jaccard, "dice": dice, "cosine": cosine}[check_measure(measure)]
 
 
 def group_upper_bound(c: float, q_size: int, measure: str = "jaccard") -> float:
@@ -97,30 +101,3 @@ def group_upper_bounds(
     if measure == "cosine":
         return np.sqrt(counts / q_size)
     raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
-
-
-def jaccard_many(query: np.ndarray, cands: Sequence[np.ndarray]) -> np.ndarray:
-    """Jaccard between ``query`` and each candidate — the verify-step kernel.
-
-    Vectorized over the candidate list via a membership table on the
-    query's tokens; linear in total candidate size, as in the paper's
-    verification cost analysis.
-    """
-    q = np.unique(query)
-    out = np.empty(len(cands), dtype=np.float64)
-    for i, c in enumerate(cands):
-        c = np.unique(c)
-        inter = np.count_nonzero(np.isin(c, q, assume_unique=True))
-        union = len(q) + len(c) - inter
-        out[i] = inter / union if union else 0.0
-    return out
-
-
-def sim_many(
-    query: np.ndarray, cands: Sequence[np.ndarray], measure: str = "jaccard"
-) -> np.ndarray:
-    """Similarity between ``query`` and each candidate under ``measure``."""
-    if measure == "jaccard":
-        return jaccard_many(query, cands)
-    f = sim_fn(measure)
-    return np.array([f(query, c) for c in cands], dtype=np.float64)

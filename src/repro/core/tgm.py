@@ -10,9 +10,8 @@ The class also implements the update rules of §6: inserting new sets
 under a closed universe and under an open universe (previously unseen
 tokens grow the matrix).
 
-Construction happens either driver-side from a partitioning, or from a
-Spark DataFrame ``(sid, tokens, gid)`` via ``explode → distinct`` — the
-distributed path used by the Spark search engine.
+Construction happens driver-side from a partitioning; the Spark search
+engine uses the same driver-built matrix.
 """
 from __future__ import annotations
 
@@ -21,12 +20,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .similarity import group_upper_bounds
-
-try:  # Spark is optional at import time so numpy-only tools can use TGM.
-    from pyspark.sql import DataFrame
-    from pyspark.sql import functions as F
-except ImportError:  # pragma: no cover
-    DataFrame = None  # type: ignore
 
 
 class TGM:
@@ -53,32 +46,6 @@ class TGM:
             tgm._set_bits(gi, s)
             tgm.group_sizes[gi] += 1
             tgm.group_members[gi].append(sid)
-        return tgm
-
-    @classmethod
-    def from_spark(cls, df: "DataFrame") -> "TGM":
-        """Build from a Spark DataFrame ``(sid, tokens, gid)``.
-
-        The bitmap content comes from ``explode(tokens) → distinct`` — a
-        full shuffle over the data — and only the (tiny) distinct
-        ``(gid, token)`` pairs plus per-group membership lists are
-        collected to the driver.
-        """
-        pairs = (
-            df.select("gid", F.explode("tokens").alias("t")).distinct().toPandas()
-        )
-        members = (
-            df.groupBy("gid").agg(F.collect_list("sid").alias("sids")).toPandas()
-        )
-        gids = np.sort(members["gid"].to_numpy())
-        remap = {g: i for i, g in enumerate(gids)}
-        tgm = cls(len(gids))
-        for _, row in members.iterrows():
-            gi = remap[row["gid"]]
-            tgm.group_members[gi] = [int(s) for s in row["sids"]]
-            tgm.group_sizes[gi] = len(row["sids"])
-        for g, t in zip(pairs["gid"].to_numpy(), pairs["t"].to_numpy()):
-            tgm._set_bits(remap[int(g)], np.array([int(t)]))
         return tgm
 
     # -- bit plumbing ------------------------------------------------------

@@ -4,8 +4,9 @@ Two stages, as in the paper:
 
 1. **Similarity graph construction** — for kNN workloads, vertex per
    set, edge to each of its k nearest neighbours; for range workloads,
-   edge when ``Sim >= δ``. Built here either by brute-force pairwise
-   similarity (exact, used at the baseline's modest scales) or
+   edge when ``Sim >= δ``. Built here on the driver either by brute-force
+   pairwise similarity through the shared ``PackedSets`` kernel (exact,
+   used at the baseline's modest scales) or
    accelerated by an existing LES³ index, mirroring the paper's note
    that PAR-G's kNN graph is built with LES³'s help.
 2. **Balanced min-cut** — the paper uses PaToH (closed source); we use
@@ -23,7 +24,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.similarity import sim_many
+from ..core.packed import PackedSets
 from .algorithmic import PartitionRun
 
 
@@ -32,13 +33,14 @@ def knn_graph(
 ) -> Dict[int, Set[int]]:
     """Undirected kNN similarity graph (self excluded)."""
     n = len(sets)
+    packed = PackedSets(sets) if engine is None else None
     adj: Dict[int, Set[int]] = defaultdict(set)
     for i in range(n):
         if engine is not None:
             res, _ = engine.knn(sets[i], k + 1)
             nbrs = [s for s, _ in res if s != i][:k]
         else:
-            sims = sim_many(sets[i], sets)
+            sims = packed.sims(sets[i])
             sims[i] = -np.inf
             nbrs = np.argsort(-sims, kind="stable")[:k]
         for j in nbrs:
@@ -50,9 +52,10 @@ def knn_graph(
 def range_graph(sets: Sequence[np.ndarray], delta: float) -> Dict[int, Set[int]]:
     """Edge between every pair with ``Sim >= δ``."""
     n = len(sets)
+    packed = PackedSets(sets)
     adj: Dict[int, Set[int]] = defaultdict(set)
     for i in range(n):
-        sims = sim_many(sets[i], sets[i + 1 :])
+        sims = packed.sims_subset(sets[i], np.arange(i + 1, n))
         for off in np.flatnonzero(sims >= delta):
             j = i + 1 + int(off)
             adj[i].add(j)

@@ -81,6 +81,20 @@ class TestInvIdx:
         exp, _ = engines["brute"].knn(q, 1)
         assert got[0][1] == pytest.approx(exp[0][1])
 
+    def test_tokens_outside_the_universe_match_nothing(self, db, engines):
+        """They count toward |Q| (so they lower every similarity) but
+        match no set."""
+        inv, brute = engines["invidx"], engines["brute"]
+        for q in sample_queries(db, n=4, seed=35):
+            q = np.concatenate([q, [db.n_tokens, db.n_tokens + 7]])
+            for delta in (0.6, 0.3):
+                assert inv.range(q, delta)[0] == brute.range(q, delta)[0]
+            got, _ = inv.knn(q, 5)
+            exp, _ = brute.knn(q, 5)
+            np.testing.assert_allclose(
+                sorted(v for _, v in got), sorted(v for _, v in exp), atol=1e-12
+            )
+
     def test_index_bytes_positive(self, engines):
         assert engines["invidx"].index_bytes() > 0
 

@@ -7,7 +7,7 @@ from repro.baselines.brute import LocalBrute
 from repro.core.l2p import l2p_partition
 from repro.core.ptr import ptr
 from repro.core.search import LocalLES3, SearchStats
-from repro.core.similarity import sim_many
+from repro.core.similarity import sim_fn
 from repro.core.tgm import HTGM, TGM
 from repro.synth_data import dataset, gen_sets, powerlaw_sim_db, sample_queries
 
@@ -71,6 +71,13 @@ class TestKnnExactness:
         got, _ = eng.knn(db.sets[0], 50)
         assert len(got) == 20
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_raises(self, k):
+        db = gen_sets(n_sets=20, n_tokens=30, avg_size=4, seed=2)
+        eng = LocalLES3(db.sets, TGM.from_partition(db.sets, np.arange(20) % 2))
+        with pytest.raises(ValueError, match="k must be"):
+            eng.knn(db.sets[0], k)
+
 
 class TestStatsAccounting:
     def test_candidates_equal_verified_group_sizes(self, built):
@@ -106,7 +113,8 @@ class TestMeasures:
     def test_exact_under_other_measures(self, measure):
         db = gen_sets(n_sets=300, n_tokens=250, avg_size=7, seed=6)
         _, _, eng = build(db, n_groups=8, measure=measure)
-        brute_sims = lambda q: sim_many(q, db.sets, measure)
+        f = sim_fn(measure)
+        brute_sims = lambda q: np.array([f(q, s) for s in db.sets])
         for q in sample_queries(db, n=5, seed=13):
             got, _ = eng.knn(q, 5)
             exp = np.sort(brute_sims(q))[::-1][:5]
@@ -116,6 +124,14 @@ class TestMeasures:
             got_r, _ = eng.range(q, 0.4)
             exp_ids = np.flatnonzero(brute_sims(q) >= 0.4)
             assert sorted(i for i, _ in got_r) == sorted(exp_ids.tolist())
+
+    def test_unknown_measure_raises_at_construction(self):
+        db = gen_sets(n_sets=20, n_tokens=30, avg_size=4, seed=2)
+        tgm = TGM.from_partition(db.sets, np.arange(20) % 2)
+        with pytest.raises(ValueError, match="unknown measure"):
+            LocalLES3(db.sets, tgm, "overlap")
+        with pytest.raises(ValueError, match="unknown measure"):
+            LocalBrute(db.sets, "overlap")
 
 
 class TestHierarchicalSearch:

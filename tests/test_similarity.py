@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import similarity as sim
+from repro.core.packed import pair_sims
 
 TOKENS = st.lists(st.integers(0, 50), min_size=0, max_size=20)
 
@@ -119,13 +120,19 @@ class TestGroupUpperBound:
 
 class TestVectorizedKernels:
     @pytest.mark.parametrize("measure", sim.MEASURES)
-    def test_sim_many_matches_scalar(self, measure):
+    def test_pair_sims_matches_scalar(self, measure):
+        """Bit-identical to the scalar reference on unsorted sets with
+        duplicate tokens, empty sets included."""
         rng = np.random.default_rng(0)
-        q = t(rng.integers(0, 40, 10))
-        cands = [t(rng.integers(0, 40, rng.integers(1, 12))) for _ in range(20)]
+        empty = np.array([], dtype=np.int64)
+        a = [rng.integers(0, 40, rng.integers(0, 12)) for _ in range(300)]
+        b = [rng.integers(0, 40, rng.integers(0, 12)) for _ in range(300)]
+        a += [empty, empty, np.array([3, 3, 5])]
+        b += [empty, np.array([1, 1]), np.array([5, 3, 5, 7])]
         f = sim.sim_fn(measure)
-        got = sim.sim_many(q, cands, measure)
-        np.testing.assert_allclose(got, [f(q, c) for c in cands], atol=1e-12)
+        got = pair_sims(a, b, measure)
+        np.testing.assert_array_equal(got, [f(x, y) for x, y in zip(a, b)])
+        assert len(pair_sims([], [], measure)) == 0
 
     def test_group_upper_bounds_vectorized_matches_scalar(self):
         counts = np.array([0, 1, 3, 5])
